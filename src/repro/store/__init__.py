@@ -4,7 +4,7 @@ The package follows the classic database recovery architecture (ZODB's
 append-only transaction log was the direct inspiration):
 
 * :mod:`repro.store.format` — length-prefixed, CRC-checksummed record framing
-  with torn-tail tolerance,
+  with torn-tail tolerance and mid-log corruption refusal,
 * :mod:`repro.store.wal` — the append-only :class:`WriteAheadLog` with
   batched group commit charged to the cost model, and the :class:`Journal`
   that hooks a :class:`~repro.backend.datastore.DataStore`,

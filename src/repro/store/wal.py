@@ -20,17 +20,17 @@ from __future__ import annotations
 import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from repro.core.cost_model import CostModel
 from repro.errors import StoreError
 from repro.store.format import (
-    KIND_MESSAGE,
-    KIND_READS,
-    KIND_WRITE,
     MAGIC,
     WalScan,
+    encode_message,
+    encode_reads,
     encode_record,
+    encode_write,
     scan_wal,
 )
 
@@ -96,6 +96,7 @@ class WriteAheadLog:
         self._records_in_file = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.path.exists() and self.path.stat().st_size > 0:
+            # Mid-log corruption raises here, before anything is truncated.
             scan = WalScan()
             for _ in scan_wal(self.path, scan):
                 pass
@@ -121,11 +122,13 @@ class WriteAheadLog:
     # ------------------------------------------------------------------ #
     def append(self, kind: str, fields: Dict[str, Any]) -> int:
         """Append one record and return its LSN (durable after the next flush)."""
-        self._last_lsn += 1
-        payload = dict(fields)
-        payload["lsn"] = self._last_lsn
-        payload["k"] = kind
-        record = encode_record(payload)
+        return self._stage(_encode_fields, kind, fields)
+
+    def _stage(self, encode: Callable[..., bytes], *fields: Any) -> int:
+        """Frame ``encode(lsn, *fields)`` at the next LSN, batch it, and charge for it."""
+        lsn = self._last_lsn + 1
+        record = encode(lsn, *fields)
+        self._last_lsn = lsn
         self._batch.append(record)
         self._batch_bytes += len(record)
         self.stats.appends += 1
@@ -133,7 +136,7 @@ class WriteAheadLog:
             self.stats.persistence_cost += self.costs.wal_append_cost(len(record))
         if len(self._batch) >= self.flush_every:
             self.flush()
-        return self._last_lsn
+        return lsn
 
     def flush(self) -> None:
         """Group-commit the batched records (no-op when nothing is pending)."""
@@ -205,6 +208,13 @@ class WriteAheadLog:
         self._handle.close()
 
 
+def _encode_fields(lsn: int, kind: str, fields: Dict[str, Any]) -> bytes:
+    payload = dict(fields)
+    payload["lsn"] = lsn
+    payload["k"] = kind
+    return encode_record(payload)
+
+
 class Journal:
     """Datastore-side hook feeding backend activity into a WAL.
 
@@ -229,7 +239,7 @@ class Journal:
     def log_write(self, key: str, time: float, value_size: int) -> None:
         """Record one committed backend write."""
         self._drain_reads()
-        self.wal.append(KIND_WRITE, {"key": key, "t": time, "vs": value_size})
+        self.wal._stage(encode_write, key, time, value_size)
         self.writes_logged += 1
 
     def note_read(self) -> None:
@@ -239,12 +249,12 @@ class Journal:
     def log_message(self, kind: str, key: str, time: float, version: int) -> None:
         """Record one freshness message (invalidate/update) sent by the backend."""
         self._drain_reads()
-        self.wal.append(KIND_MESSAGE, {"mk": kind, "key": key, "t": time, "v": version})
+        self.wal._stage(encode_message, kind, key, time, version)
         self.messages_logged += 1
 
     def _drain_reads(self) -> None:
         if self._reads_pending:
-            self.wal.append(KIND_READS, {"n": self._reads_pending})
+            self.wal._stage(encode_reads, self._reads_pending)
             self.reads_logged += self._reads_pending
             self._reads_pending = 0
 
